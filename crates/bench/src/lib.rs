@@ -91,6 +91,14 @@ pub struct HarnessOptions {
     pub chaos_op: Option<u64>,
 }
 
+/// The flags every harness binary accepts, printed with a parse error.
+const USAGE: &str = "\
+flags: --instructions N  --seed N  --benchmarks a,b,c  --jobs N  --csv DIR
+       --engine {event,cycle,cycle-noskip}  --journal FILE  --resume FILE
+       --deadline SECS  --max-retries N  --inject-cell-faults SEED
+       --checkpoint-every N  --checkpoint-dir DIR  --checkpoint-durable {true,false}
+       --oracle  --chaos-seed SEED  --chaos-site NAME  --chaos-kind KIND  --chaos-op N";
+
 impl HarnessOptions {
     /// Parses `--instructions N`, `--seed N`, `--benchmarks a,b,c`,
     /// `--jobs N`, `--csv DIR`, `--engine NAME`, `--journal FILE`,
@@ -99,70 +107,86 @@ impl HarnessOptions {
     /// `--checkpoint-dir DIR`, `--checkpoint-durable BOOL` and `--oracle`
     /// from `std::env::args`, with the given default instruction budget.
     ///
-    /// Unknown arguments are ignored so binaries can be combined with cargo
-    /// flags freely.
+    /// A flag with a missing or malformed value — a number that does not
+    /// parse, an unknown engine — prints the error and the list of flags
+    /// and exits with status 2. Arguments that are not harness flags are ignored so
+    /// binaries can be combined with cargo flags freely.
     pub fn from_args(default_instructions: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_arg_slice(&args, default_instructions)
+        Self::from_arg_slice(&args, default_instructions).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// [`HarnessOptions::from_args`] over an explicit argument slice
     /// (testable without touching the process environment).
-    pub fn from_arg_slice(args: &[String], default_instructions: u64) -> Self {
-        let value_of = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag whose value is missing or malformed.
+    pub fn from_arg_slice(args: &[String], default_instructions: u64) -> Result<Self, String> {
+        let value_of = |flag: &str| -> Result<Option<String>, String> {
+            match args.iter().position(|a| a == flag) {
+                None => Ok(None),
+                Some(i) => match args.get(i + 1) {
+                    Some(v) => Ok(Some(v.clone())),
+                    None => Err(format!("{flag} needs a value")),
+                },
+            }
         };
-        let instructions = value_of("--instructions")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_instructions);
-        let seed = value_of("--seed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let jobs = value_of("--jobs").and_then(|v| v.parse().ok()).unwrap_or(0);
-        let csv = value_of("--csv").map(std::path::PathBuf::from);
-        let engine = match value_of("--engine") {
-            Some(name) => Engine::from_name(&name).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: unknown engine {name:?} ignored \
-                     (valid: event, cycle, cycle-noskip); using event"
-                );
-                Engine::Event
-            }),
+        fn parsed<T: std::str::FromStr>(
+            flag: &str,
+            v: Option<String>,
+        ) -> Result<Option<T>, String> {
+            v.map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} expects a number, got {v:?}"))
+            })
+            .transpose()
+        }
+        let number = |flag: &str| -> Result<Option<u64>, String> { parsed(flag, value_of(flag)?) };
+        let instructions = number("--instructions")?.unwrap_or(default_instructions);
+        let seed = number("--seed")?.unwrap_or(42);
+        let jobs = parsed("--jobs", value_of("--jobs")?)?.unwrap_or(0);
+        let csv = value_of("--csv")?.map(std::path::PathBuf::from);
+        let engine = match value_of("--engine")? {
+            Some(name) => Engine::from_name(&name).ok_or_else(|| {
+                format!("unknown engine {name:?} (valid: event, cycle, cycle-noskip)")
+            })?,
             // Deprecated alias from before the event engine existed.
             None if args.iter().any(|a| a == "--no-skip") => Engine::CycleNoSkip,
             None => Engine::Event,
         };
-        let journal = value_of("--journal").map(std::path::PathBuf::from);
-        let resume = value_of("--resume").map(std::path::PathBuf::from);
-        let deadline = value_of("--deadline").and_then(|v| v.parse().ok());
-        let max_retries = value_of("--max-retries")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
-        let inject_cell_faults = value_of("--inject-cell-faults").and_then(|v| v.parse().ok());
-        let checkpoint_every = value_of("--checkpoint-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let checkpoint_dir = value_of("--checkpoint-dir").map(std::path::PathBuf::from);
-        let checkpoint_durable = match value_of("--checkpoint-durable").as_deref() {
+        let journal = value_of("--journal")?.map(std::path::PathBuf::from);
+        let resume = value_of("--resume")?.map(std::path::PathBuf::from);
+        let deadline: Option<f64> = parsed("--deadline", value_of("--deadline")?)?;
+        if let Some(secs) = deadline {
+            if !(secs.is_finite() && secs > 0.0) {
+                return Err(format!(
+                    "--deadline expects a positive number of seconds, got {secs}"
+                ));
+            }
+        }
+        let max_retries = parsed("--max-retries", value_of("--max-retries")?)?.unwrap_or(2);
+        let inject_cell_faults = number("--inject-cell-faults")?;
+        let checkpoint_every = number("--checkpoint-every")?.unwrap_or(0);
+        let checkpoint_dir = value_of("--checkpoint-dir")?.map(std::path::PathBuf::from);
+        let checkpoint_durable = match value_of("--checkpoint-durable")?.as_deref() {
             Some("false") | Some("0") | Some("no") => false,
             Some("true") | Some("1") | Some("yes") | None => true,
             Some(other) => {
-                eprintln!(
-                    "warning: unknown --checkpoint-durable value {other:?} ignored \
-                     (valid: true, false); using true"
-                );
-                true
+                return Err(format!(
+                    "unknown --checkpoint-durable value {other:?} (valid: true, false)"
+                ))
             }
         };
         let oracle = args.iter().any(|a| a == "--oracle");
-        let chaos_seed = value_of("--chaos-seed").and_then(|v| v.parse().ok());
-        let chaos_site = value_of("--chaos-site");
-        let chaos_kind = value_of("--chaos-kind");
-        let chaos_op = value_of("--chaos-op").and_then(|v| v.parse().ok());
-        let benchmarks = value_of("--benchmarks")
+        let chaos_seed = number("--chaos-seed")?;
+        let chaos_site = value_of("--chaos-site")?;
+        let chaos_kind = value_of("--chaos-kind")?;
+        let chaos_op = number("--chaos-op")?;
+        let benchmarks = value_of("--benchmarks")?
             .map(|list| {
                 let mut picks = Vec::new();
                 for name in list.split(',') {
@@ -178,7 +202,7 @@ impl HarnessOptions {
             })
             .filter(|v| !v.is_empty())
             .unwrap_or_else(|| SpecBenchmark::all16().to_vec());
-        HarnessOptions {
+        Ok(HarnessOptions {
             run: RunLength::Instructions(instructions),
             seed,
             benchmarks,
@@ -198,7 +222,7 @@ impl HarnessOptions {
             chaos_site,
             chaos_kind,
             chaos_op,
-        }
+        })
     }
 
     /// The I/O layer implied by the `--chaos-*` flags: a scripted
@@ -542,7 +566,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = HarnessOptions::from_arg_slice(&args, 500);
+        let o = HarnessOptions::from_arg_slice(&args, 500).expect("valid flags");
         let sup = o.supervisor_config();
         assert_eq!(sup.deadline, Some(std::time::Duration::from_millis(1500)));
         assert_eq!(sup.max_retries, 5);
@@ -558,7 +582,7 @@ mod tests {
         let parse = |extra: &[&str]| {
             let mut args = vec!["bin".to_string()];
             args.extend(extra.iter().map(|s| s.to_string()));
-            HarnessOptions::from_arg_slice(&args, 500)
+            HarnessOptions::from_arg_slice(&args, 500).expect("valid flags")
         };
         let base = parse(&[]).fingerprint_desc();
         assert_eq!(parse(&["--jobs", "7"]).fingerprint_desc(), base);
@@ -599,7 +623,7 @@ mod tests {
         let parse = |extra: &[&str]| {
             let mut args = vec!["bin".to_string()];
             args.extend(extra.iter().map(|s| s.to_string()));
-            HarnessOptions::from_arg_slice(&args, 500)
+            HarnessOptions::from_arg_slice(&args, 500).expect("valid flags")
         };
         assert_eq!(parse(&["--engine", "event"]).engine, Engine::Event);
         assert_eq!(parse(&["--engine", "cycle"]).engine, Engine::Cycle);
@@ -613,8 +637,36 @@ mod tests {
             parse(&["--no-skip", "--engine", "event"]).engine,
             Engine::Event
         );
-        // Unknown names fall back to the default instead of aborting.
-        assert_eq!(parse(&["--engine", "warp"]).engine, Engine::Event);
+    }
+
+    #[test]
+    fn rejects_malformed_values() {
+        let parse = |extra: &[&str]| {
+            let mut args = vec!["bin".to_string()];
+            args.extend(extra.iter().map(|s| s.to_string()));
+            HarnessOptions::from_arg_slice(&args, 500)
+        };
+        for bad in [
+            &["--engine", "warp"][..],
+            &["--instructions", "60k"],
+            &["--seed", "-1"],
+            &["--jobs", "two"],
+            &["--max-retries", "1.5"],
+            &["--deadline", "soon"],
+            &["--deadline", "-1"],
+            &["--checkpoint-every", ""],
+            &["--checkpoint-durable", "warp"],
+            &["--chaos-op", "x"],
+            &["--instructions"],
+        ] {
+            let err = parse(bad).expect_err("malformed flag must be rejected");
+            assert!(
+                err.contains(bad[0]) || err.contains("engine"),
+                "{bad:?}: {err}"
+            );
+        }
+        // Arguments that are not harness flags still pass through.
+        assert!(parse(&["--release", "-q"]).is_ok());
     }
 
     #[test]
@@ -622,7 +674,7 @@ mod tests {
         let parse = |extra: &[&str]| {
             let mut args = vec!["bin".to_string()];
             args.extend(extra.iter().map(|s| s.to_string()));
-            HarnessOptions::from_arg_slice(&args, 500)
+            HarnessOptions::from_arg_slice(&args, 500).expect("valid flags")
         };
         // Durable by default, and durability never affects the fingerprint.
         let o = parse(&["--checkpoint-every", "1000"]);
@@ -641,8 +693,6 @@ mod tests {
             parse(&["--checkpoint-every", "1000"]).fingerprint_desc(),
             "durability changes no result, so it must not invalidate journals"
         );
-        // Unknown values fall back to durable instead of aborting.
-        assert!(parse(&["--checkpoint-durable", "warp"]).checkpoint_durable);
     }
 
     #[test]
@@ -651,7 +701,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = HarnessOptions::from_arg_slice(&args, 500);
+        let o = HarnessOptions::from_arg_slice(&args, 500).expect("valid flags");
         assert_eq!(o.jobs, 3);
         assert_eq!(o.csv.as_deref(), Some(std::path::Path::new("out/results")));
         assert_eq!(o.seed, 7);

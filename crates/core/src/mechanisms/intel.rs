@@ -36,6 +36,8 @@ pub struct IntelScheduler {
     core: Core,
     read_queues: Vec<VecDeque<Access>>,
     write_queue: VecDeque<Access>,
+    // snap: derived(per-bank count of write_queue entries; load_state rebuilds it)
+    writes_per_bank: Vec<u32>,
     read_preemption: bool,
     /// Write-buffer flush mode: entered at the high-water mark (3/4 of
     /// capacity), left at the low-water mark (1/2). While draining, idle
@@ -60,6 +62,7 @@ impl IntelScheduler {
             core,
             read_queues: vec![VecDeque::new(); nbanks],
             write_queue: VecDeque::new(),
+            writes_per_bank: vec![0; nbanks],
             read_preemption,
             draining: false,
             scratch: Vec::new(),
@@ -67,8 +70,11 @@ impl IntelScheduler {
     }
 
     /// Removes the oldest write targeting `bank_idx` from the global write
-    /// queue.
+    /// queue. A bank with no queued write skips the queue scan.
     fn pop_write_for_bank(&mut self, bank_idx: usize) -> Option<Access> {
+        if self.writes_per_bank[bank_idx] == 0 {
+            return None;
+        }
         let idx = self
             .write_queue
             .iter()
@@ -76,11 +82,19 @@ impl IntelScheduler {
             .filter(|(_, w)| self.core.global_bank(w.loc) == bank_idx)
             .min_by_key(|(_, w)| w.id)
             .map(|(i, _)| i)?;
+        self.writes_per_bank[bank_idx] -= 1;
         self.write_queue.remove(idx)
+    }
+
+    /// Appends a newly arrived write to the global write queue.
+    fn push_write(&mut self, write: Access) {
+        self.writes_per_bank[self.core.global_bank(write.loc)] += 1;
+        self.write_queue.push_back(write);
     }
 
     /// Re-inserts a preempted write keeping the queue sorted by age.
     fn reinsert_write(&mut self, write: Access) {
+        self.writes_per_bank[self.core.global_bank(write.loc)] += 1;
         let pos = self.write_queue.partition_point(|w| w.id < write.id);
         self.write_queue.insert(pos, write);
     }
@@ -117,6 +131,7 @@ impl IntelScheduler {
                 && self.core.global_bank(front.loc) == bank_idx
             {
                 let write = self.write_queue.pop_front().expect("front exists");
+                self.writes_per_bank[bank_idx] -= 1;
                 self.core
                     .set_ongoing(bank_idx, write)
                     .expect("bank verified idle before escalation");
@@ -235,7 +250,7 @@ impl AccessScheduler for IntelScheduler {
             }
             AccessKind::Write => {
                 self.core.note_arrival(&access);
-                self.write_queue.push_back(access);
+                self.push_write(access);
                 EnqueueOutcome::Queued
             }
         }
@@ -335,9 +350,10 @@ impl AccessScheduler for IntelScheduler {
             }
             if (draining || self.core.reads_outstanding() == 0)
                 && self
-                    .write_queue
+                    .writes_per_bank
                     .iter()
-                    .any(|w| self.core.ongoing(self.core.global_bank(w.loc)).is_none())
+                    .enumerate()
+                    .any(|(bank, &n)| n > 0 && self.core.ongoing(bank).is_none())
             {
                 // Drain mode installs any write whose bank is idle.
                 return None;
@@ -375,8 +391,13 @@ impl AccessScheduler for IntelScheduler {
         super::load_queue_set(&mut self.read_queues, r)?;
         let n = r.seq_len(24)?;
         self.write_queue.clear();
+        self.writes_per_bank.fill(0);
         for _ in 0..n {
-            self.write_queue.push_back(Access::load_snap(r)?);
+            let write = Access::load_snap(r)?;
+            if self.core.global_bank(write.loc) >= self.writes_per_bank.len() {
+                return Err(burst_snap::SnapError::Corrupt("write outside the geometry"));
+            }
+            self.push_write(write);
         }
         if r.bool()? != self.read_preemption {
             return Err(burst_snap::SnapError::Corrupt("variant mismatch"));

@@ -54,12 +54,52 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// One way in 16 bytes. `key` is the tag with [`VALID`] set while the way
+/// holds a line, so a hit is one compare against `tag | VALID`; `stamp` is
+/// the LRU tick with [`DIRTY`] set while the line is modified. Tags and
+/// ticks stay below bit 63: a line address is at most 63 bits because
+/// lines are at least 2 bytes, and a tick counts accesses.
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
+    key: u64,
+    stamp: u64,
+}
+
+const VALID: u64 = 1 << 63;
+const DIRTY: u64 = 1 << 63;
+
+impl Way {
+    fn holds(&self, tag: u64) -> bool {
+        self.key == tag | VALID
+    }
+
+    fn valid(&self) -> bool {
+        self.key & VALID != 0
+    }
+
+    fn tag(&self) -> u64 {
+        self.key & !VALID
+    }
+
+    fn dirty(&self) -> bool {
+        self.stamp & DIRTY != 0
+    }
+
+    fn lru(&self) -> u64 {
+        self.stamp & !DIRTY
+    }
+
+    /// Records a hit at `tick`, merging `make_dirty` into the dirty bit.
+    fn touch(&mut self, tick: u64, make_dirty: bool) {
+        self.stamp = tick | (self.stamp & DIRTY) | if make_dirty { DIRTY } else { 0 };
+    }
+
+    fn filled(tag: u64, dirty: bool, tick: u64) -> Way {
+        Way {
+            key: tag | VALID,
+            stamp: tick | if dirty { DIRTY } else { 0 },
+        }
+    }
 }
 
 /// Per-level hit/miss counters.
@@ -130,12 +170,12 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero sets or has a non-power-of-
-    /// two line size.
+    /// Panics if the configuration yields zero sets or has a line size
+    /// that is not a power of two of at least 2 bytes.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
-            cfg.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 2,
+            "line size must be a power of two of at least 2 bytes"
         );
         let sets = cfg.sets();
         assert!(sets > 0, "cache must have at least one set");
@@ -204,11 +244,8 @@ impl Cache {
         // is purely a shortcut to the scan below.
         if self.memo_addr == addr {
             let way = &mut self.ways[self.memo_way as usize];
-            if way.valid && way.tag == tag {
-                way.lru = self.tick;
-                if make_dirty {
-                    way.dirty = true;
-                }
+            if way.holds(tag) {
+                way.touch(self.tick, make_dirty);
                 self.stats.hits += 1;
                 return true;
             }
@@ -216,11 +253,8 @@ impl Cache {
         let base = set * self.cfg.ways;
         for i in base..base + self.cfg.ways {
             let way = &mut self.ways[i];
-            if way.valid && way.tag == tag {
-                way.lru = self.tick;
-                if make_dirty {
-                    way.dirty = true;
-                }
+            if way.holds(tag) {
+                way.touch(self.tick, make_dirty);
                 self.memo_addr = addr;
                 self.memo_way = i as u32;
                 self.stats.hits += 1;
@@ -237,7 +271,7 @@ impl Cache {
         let base = set * self.cfg.ways;
         self.ways[base..base + self.cfg.ways]
             .iter()
-            .any(|w| w.valid && w.tag == tag)
+            .any(|w| w.holds(tag))
     }
 
     /// Allocates a line for `addr` (write-allocate fill), evicting the LRU
@@ -250,22 +284,15 @@ impl Cache {
         let base = set * self.cfg.ways;
         let ways = &mut self.ways[base..base + self.cfg.ways];
         // Already present: refresh.
-        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            let way = &mut ways[i];
-            way.lru = tick;
-            way.dirty |= dirty;
+        if let Some(i) = ways.iter().position(|w| w.holds(tag)) {
+            ways[i].touch(tick, dirty);
             self.memo_addr = addr;
             self.memo_way = (base + i) as u32;
             return None;
         }
         // Free way?
-        if let Some(i) = ways.iter().position(|w| !w.valid) {
-            ways[i] = Way {
-                tag,
-                valid: true,
-                dirty,
-                lru: tick,
-            };
+        if let Some(i) = ways.iter().position(|w| !w.valid()) {
+            ways[i] = Way::filled(tag, dirty, tick);
             self.memo_addr = addr;
             self.memo_way = (base + i) as u32;
             return None;
@@ -274,18 +301,13 @@ impl Cache {
         let i = ways
             .iter()
             .enumerate()
-            .min_by_key(|(_, w)| w.lru)
+            .min_by_key(|(_, w)| w.lru())
             .map(|(i, _)| i)
             .expect("ways is non-empty");
         let victim = &mut ways[i];
-        let victim_tag = victim.tag;
-        let victim_dirty = victim.dirty;
-        *victim = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: tick,
-        };
+        let victim_tag = victim.tag();
+        let victim_dirty = victim.dirty();
+        *victim = Way::filled(tag, dirty, tick);
         self.memo_addr = addr;
         self.memo_way = (base + i) as u32;
         if victim_dirty {
@@ -305,10 +327,10 @@ impl Cache {
         // Flat storage is set-major, way-minor: identical byte order to the
         // historical nested per-set layout.
         for way in &self.ways {
-            w.u64(way.tag);
-            w.bool(way.valid);
-            w.bool(way.dirty);
-            w.u64(way.lru);
+            w.u64(way.tag());
+            w.bool(way.valid());
+            w.bool(way.dirty());
+            w.u64(way.lru());
         }
         w.u64(self.tick);
         w.u64(self.stats.hits);
@@ -327,14 +349,21 @@ impl Cache {
             return Err(SnapError::Corrupt("cache geometry mismatch"));
         }
         for way in &mut self.ways {
-            way.tag = r.u64()?;
-            way.valid = r.bool()?;
-            way.dirty = r.bool()?;
-            way.lru = r.u64()?;
+            let (tag, valid, dirty, lru) = (r.u64()?, r.bool()?, r.bool()?, r.u64()?);
+            if tag & VALID != 0 || lru & DIRTY != 0 {
+                return Err(SnapError::Corrupt("cache way out of range"));
+            }
+            *way = Way {
+                key: tag | if valid { VALID } else { 0 },
+                stamp: lru | if dirty { DIRTY } else { 0 },
+            };
         }
         // The restored contents need not match what the memo described.
         self.memo_addr = u64::MAX;
         self.tick = r.u64()?;
+        if self.tick & DIRTY != 0 {
+            return Err(SnapError::Corrupt("cache tick out of range"));
+        }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         self.stats.writebacks = r.u64()?;
@@ -479,6 +508,32 @@ mod tests {
         // The stale memo must not report a phantom hit.
         assert!(!c.lookup(0, false));
         assert!(c.lookup(512, false));
+    }
+
+    #[test]
+    fn way_is_16_bytes_and_snapshot_round_trips_flags() {
+        assert_eq!(std::mem::size_of::<Way>(), 16);
+        let mut c = tiny();
+        c.insert(0, true);
+        c.insert(256, false);
+        let mut w = burst_snap::SnapWriter::new();
+        c.save_snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut d = tiny();
+        d.load_snap(&mut burst_snap::SnapReader::new(&bytes))
+            .expect("round trip");
+        let mut w2 = burst_snap::SnapWriter::new();
+        d.save_snap(&mut w2);
+        assert_eq!(bytes, w2.into_bytes());
+        // The dirty LRU line 0 is the victim, with its dirty bit intact.
+        let ev = d.insert(512, false).expect("set 0 full");
+        assert_eq!(
+            ev,
+            Eviction {
+                addr: 0,
+                dirty: true
+            }
+        );
     }
 
     #[test]

@@ -403,8 +403,24 @@ pub struct Cpu {
 impl Cpu {
     /// Creates an idle core with cold caches.
     pub fn new(cfg: CpuConfig) -> Self {
+        Self::with_hierarchy(cfg, Hierarchy::new(cfg.hierarchy))
+    }
+
+    /// Creates an idle core around an existing cache hierarchy, such as
+    /// one already warmed by [`Hierarchy::warm`]. The result is the same
+    /// core that [`Cpu::new`] followed by [`Cpu::warm_caches`] would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy's geometry differs from `cfg.hierarchy`.
+    pub fn with_hierarchy(cfg: CpuConfig, hierarchy: Hierarchy) -> Self {
+        assert_eq!(
+            hierarchy.config(),
+            cfg.hierarchy,
+            "hierarchy geometry must match the core configuration"
+        );
         Cpu {
-            hierarchy: Hierarchy::new(cfg.hierarchy),
+            hierarchy,
             rob: RobRing::new(cfg.rob_size),
             head_seq: 0,
             now: 0,
@@ -572,36 +588,9 @@ impl Cpu {
         }
     }
 
-    /// Functionally warms the cache hierarchy: consumes ops from `source`
-    /// until `mem_ops` memory operations have been applied to the caches
-    /// with instant fills and no timing. Writebacks generated during
-    /// warming are discarded and cache counters reset, so the timed region
-    /// starts from a realistic steady state (the paper's 2-billion-
-    /// instruction runs are warm almost throughout).
+    /// Functionally warms the cache hierarchy with [`Hierarchy::warm`].
     pub fn warm_caches(&mut self, source: &mut dyn OpSource, mem_ops: u64) {
-        let mut done = 0u64;
-        // A workload may be compute-only (no memory ops at all); bound the
-        // total ops consumed so warming terminates on any source.
-        let mut budget = mem_ops.saturating_mul(64).saturating_add(4096);
-        while done < mem_ops && budget > 0 {
-            budget -= 1;
-            match source.next_op() {
-                Op::Compute => {}
-                Op::Load { addr, .. } => {
-                    if let MemAccessResult::Miss { line } = self.hierarchy.access(addr, false) {
-                        self.hierarchy.fill(line, false);
-                    }
-                    done += 1;
-                }
-                Op::Store { addr } => {
-                    if let MemAccessResult::Miss { line } = self.hierarchy.access(addr, true) {
-                        self.hierarchy.fill(line, true);
-                    }
-                    done += 1;
-                }
-            }
-        }
-        self.hierarchy.reset_stats();
+        self.hierarchy.warm(source, mem_ops);
     }
 
     /// Runs one CPU cycle: retire in order, then dispatch up to `width`

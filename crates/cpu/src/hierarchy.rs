@@ -7,6 +7,8 @@
 
 use std::collections::VecDeque;
 
+use burst_workloads::{Op, OpSource};
+
 use crate::{Cache, CacheConfig};
 
 /// Outcome of a data access against the hierarchy.
@@ -76,6 +78,54 @@ impl Hierarchy {
             l2: Cache::new(cfg.l2),
             writebacks: VecDeque::new(),
         }
+    }
+
+    /// The geometry of both levels.
+    pub fn config(&self) -> HierarchyConfig {
+        HierarchyConfig {
+            l1d: self.l1d.config(),
+            l2: self.l2.config(),
+        }
+    }
+
+    /// Functionally warms the hierarchy: consumes ops from `source` until
+    /// `mem_ops` memory operations have been applied with instant fills
+    /// and no timing. Writebacks generated during warming are discarded
+    /// and cache counters reset, so the timed region starts from a
+    /// realistic steady state (the paper's 2-billion-instruction runs are
+    /// warm almost throughout). Zero `mem_ops` leaves the hierarchy as it
+    /// is.
+    pub fn warm(&mut self, source: &mut dyn OpSource, mem_ops: u64) {
+        if mem_ops == 0 {
+            return;
+        }
+        let mut done = 0u64;
+        // A workload may be compute-only (no memory ops at all); bound the
+        // total ops consumed so warming terminates on any source.
+        let mut budget = mem_ops.saturating_mul(64).saturating_add(4096);
+        while done < mem_ops && budget > 0 {
+            budget -= 1;
+            match source.next_op() {
+                Op::Compute => {}
+                Op::Load { addr, .. } => {
+                    if let MemAccessResult::Miss { line } = self.access(addr, false) {
+                        self.fill(line, false);
+                    }
+                    done += 1;
+                }
+                Op::Store { addr } => {
+                    if let MemAccessResult::Miss { line } = self.access(addr, true) {
+                        self.fill(line, true);
+                    }
+                    done += 1;
+                }
+            }
+            // Nothing reads the queue during warm-up; dropping writebacks
+            // as they come keeps its buffer from growing to the warm-up's
+            // tens of thousands of dirty evictions.
+            self.writebacks.clear();
+        }
+        self.reset_stats();
     }
 
     /// The L1 data cache (for statistics).

@@ -4,16 +4,16 @@
 //! harness prints.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use burst_core::Mechanism;
 use burst_dram::{Command, Cycle, Dir, DramConfig, Loc, RowPolicy, RowState, TimingParams};
-use burst_workloads::SpecBenchmark;
+use burst_workloads::{MixWorkload, OpSource, SpecBenchmark};
 
 use crate::checkpoint::{try_simulate_checkpointed, CheckpointPolicy, CheckpointedRunError};
 use crate::simio::{real_io, SimIo};
 use crate::supervisor::{supervise_with, CellError, CellOutcome, FailureKind, SupervisorConfig};
-use crate::{simulate, try_simulate, Journal, RunLength, SimReport, SystemConfig};
+use crate::{simulate, Journal, RunLength, SimReport, System, SystemConfig, WarmStart};
 
 /// Per-sweep checkpoint plan: where each cell writes its mid-run
 /// checkpoint and how often. Threaded from the harness `--checkpoint-every`
@@ -126,6 +126,87 @@ pub fn fig12_mechanisms() -> Vec<Mechanism> {
     }
     v.push(Mechanism::BurstRp);
     v
+}
+
+/// The warm starts shared by the pending cells of one
+/// [`Sweep::run_supervised`] call, one per benchmark. A cell's warm-up
+/// depends on its workload seed, `cfg.cpu` and `cfg.warm_mem_ops`, and the
+/// cells of one call differ only in benchmark and mechanism, so the
+/// benchmark alone keys a state here. The first cell of a benchmark warms
+/// it; the state is dropped as soon as the last pending cell of that
+/// benchmark has taken it, so a grid does not keep one per benchmark alive.
+struct WarmShare {
+    slots: Vec<Mutex<WarmSlot>>,
+    /// The index into `slots` of each pending cell.
+    slot_of: Vec<usize>,
+}
+
+struct WarmSlot {
+    benchmark: SpecBenchmark,
+    state: Option<Arc<WarmStart<MixWorkload>>>,
+    /// Pending cells of this benchmark that have not taken the state yet.
+    waiting: Vec<usize>,
+}
+
+impl WarmShare {
+    fn new(items: &[(SpecBenchmark, Mechanism)]) -> WarmShare {
+        let mut slots: Vec<WarmSlot> = Vec::new();
+        let mut slot_of = Vec::with_capacity(items.len());
+        for (i, &(b, _)) in items.iter().enumerate() {
+            let s = match slots.iter().position(|slot| slot.benchmark == b) {
+                Some(s) => s,
+                None => {
+                    slots.push(WarmSlot {
+                        benchmark: b,
+                        state: None,
+                        waiting: Vec::new(),
+                    });
+                    slots.len() - 1
+                }
+            };
+            slots[s].waiting.push(i);
+            slot_of.push(s);
+        }
+        WarmShare {
+            slots: slots.into_iter().map(Mutex::new).collect(),
+            slot_of,
+        }
+    }
+
+    /// Pending cell `idx` (of benchmark `b`, configuration `cfg`) started
+    /// from its benchmark's warm state. A state that is missing — not yet
+    /// warmed, or already released before a retry of this cell — is warmed
+    /// again, which gives the same state.
+    fn start(
+        &self,
+        idx: usize,
+        cfg: &SystemConfig,
+        b: SpecBenchmark,
+        seed: u64,
+    ) -> (System, MixWorkload) {
+        let state = {
+            // `state` only ever changes from one whole value to another, so
+            // a cell that panicked while holding the lock left it usable.
+            let mut slot = self.slots[self.slot_of[idx]]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let state = match &slot.state {
+                Some(state) => Arc::clone(state),
+                None => Arc::new(WarmStart::new(cfg, b.workload(seed))),
+            };
+            slot.waiting.retain(|&i| i != idx);
+            slot.state = if slot.waiting.is_empty() {
+                None
+            } else {
+                Some(Arc::clone(&state))
+            };
+            state
+        };
+        // The last holder moves the state into its cell instead of copying.
+        Arc::try_unwrap(state)
+            .unwrap_or_else(|shared| WarmStart::clone(&shared))
+            .start(cfg)
+    }
 }
 
 /// One simulated (benchmark, mechanism) cell.
@@ -301,6 +382,7 @@ impl Sweep {
             }
         }
         let items: Vec<(SpecBenchmark, Mechanism)> = pending.iter().map(|&(_, p)| p).collect();
+        let warm = Arc::new(WarmShare::new(&items));
         let base_cfg = *base;
         let run_plan = ckpt.cloned();
         let run_scope = scope.to_string();
@@ -308,7 +390,7 @@ impl Sweep {
             &items,
             jobs,
             sup,
-            move |_, &(b, m), _attempt| {
+            move |i, &(b, m), _attempt| {
                 let cfg = base_cfg.with_mechanism(m);
                 cfg.validate()
                     .map_err(|e| CellError::other(format!("invalid configuration: {e}")))?;
@@ -330,7 +412,11 @@ impl Sweep {
                             },
                         )
                     }
-                    None => try_simulate(&cfg, b.workload(seed), len).map_err(CellError::from),
+                    None => {
+                        let (mut sys, mut source) = warm.start(i, &cfg, b, seed);
+                        sys.try_run(&mut source, len).map_err(CellError::from)?;
+                        Ok(sys.report(source.name()))
+                    }
                 }
             },
             |i, outcome| {
@@ -998,6 +1084,53 @@ fn fig1_out_of_order() -> Cycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn warm_share_releases_after_last_cell_and_survives_retries_and_panics() {
+        let cfg = SystemConfig::baseline().with_warm_mem_ops(5_000);
+        let items = [
+            (SpecBenchmark::Swim, Mechanism::RowHit),
+            (SpecBenchmark::Swim, Mechanism::BurstTh(52)),
+            (SpecBenchmark::Gzip, Mechanism::RowHit),
+        ];
+        let share = WarmShare::new(&items);
+        let held = |s: usize| {
+            let slot = share.slots[s]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            slot.state.is_some()
+        };
+        let start = |i: usize| {
+            let (b, m) = items[i];
+            let (sys, _) = share.start(i, &cfg.with_mechanism(m), b, 7);
+            sys.checkpoint().expect("snapshot").bytes
+        };
+        let cold = |i: usize| {
+            let (b, m) = items[i];
+            let mut sys = System::new(&cfg.with_mechanism(m));
+            sys.warm(&mut b.workload(7));
+            sys.checkpoint().expect("snapshot").bytes
+        };
+        assert_eq!(start(0), cold(0));
+        assert!(held(0), "swim's second cell has not taken the state yet");
+        // A retry of a cell that already took the state keeps it held.
+        assert_eq!(start(0), cold(0));
+        assert!(held(0));
+        // A panic while a cell holds the lock poisons it but leaves the
+        // state usable.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = share.slots[0].lock();
+            panic!("cell panicked");
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(start(1), cold(1));
+        assert!(!held(0), "released after the last swim cell took it");
+        // A retry after the release warms again and gets the same state.
+        assert_eq!(start(1), cold(1));
+        assert!(!held(0));
+        assert_eq!(start(2), cold(2));
+        assert!(!held(1));
+    }
 
     #[test]
     fn table1_matches_paper_for_pc2_6400() {

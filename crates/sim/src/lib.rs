@@ -57,4 +57,5 @@ pub use supervisor::{
 pub use system::{
     simulate, try_simulate, ChunkOutcome, ComponentHashes, Engine, EngineStats, RobustnessReport,
     RunCursor, RunError, RunLength, SimReport, Snapshot, System, SystemConfig, ValidateConfigError,
+    WarmStart,
 };

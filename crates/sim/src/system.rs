@@ -8,7 +8,7 @@ use burst_core::{
     Access, AccessId, AccessKind, AccessScheduler, Completion, CtrlConfig, CtrlStats, FaultConfig,
     Mechanism, StallDiagnostic,
 };
-use burst_cpu::{Cpu, CpuConfig, CpuStats};
+use burst_cpu::{Cpu, CpuConfig, CpuStats, Hierarchy};
 use burst_dram::{AddressMapping, BusStats, Cycle, Dram, DramConfig, PhysAddr};
 use burst_snap::{fnv1a64, SnapError, SnapReader, SnapWriter};
 use burst_workloads::OpSource;
@@ -843,6 +843,10 @@ impl System {
     /// testing robustness machinery against schedulers outside
     /// [`Mechanism`] (e.g. deliberately broken ones).
     pub fn with_scheduler(cfg: &SystemConfig, sched: Box<dyn AccessScheduler>) -> Self {
+        Self::assemble(cfg, sched, Cpu::new(cfg.cpu))
+    }
+
+    fn assemble(cfg: &SystemConfig, sched: Box<dyn AccessScheduler>, cpu: Cpu) -> Self {
         let mut dram = Dram::new(cfg.dram, cfg.mapping);
         if cfg.checker {
             dram.enable_checker();
@@ -851,7 +855,7 @@ impl System {
             cfg: *cfg,
             dram,
             sched,
-            cpu: Cpu::new(cfg.cpu),
+            cpu,
             mem_cycle: 0,
             next_id: 0,
             completions: Vec::new(),
@@ -897,10 +901,7 @@ impl System {
     /// Functionally warms the caches with the configured budget. Call once
     /// before [`System::run`]; [`simulate`] does this automatically.
     pub fn warm(&mut self, workload: &mut dyn OpSource) {
-        let budget = self.cfg.warm_mem_ops;
-        if budget > 0 {
-            self.cpu.warm_caches(workload, budget);
-        }
+        self.cpu.warm_caches(workload, self.cfg.warm_mem_ops);
     }
 
     /// Advances one memory-controller cycle: `cpu_ratio` CPU cycles, then
@@ -1674,6 +1675,76 @@ pub fn try_simulate<W: OpSource>(
     sys.try_run(&mut workload, len)?;
     let name = workload.name().to_string();
     Ok(sys.report(name))
+}
+
+/// One workload's functional cache warm-up, done once and started from
+/// many times: the cache hierarchy as [`System::warm`] leaves it, and the
+/// source at the position where warm-up stopped.
+///
+/// Warm-up reads only the source, `cfg.cpu` and `cfg.warm_mem_ops`; the
+/// mechanism, DRAM and engine never enter it. So every configuration that
+/// agrees on those two fields can start from a copy of one `WarmStart`,
+/// and [`WarmStart::start`] on a copy gives exactly the system and source
+/// that [`System::new`] followed by [`System::warm`] would: both run
+/// [`Hierarchy::warm`], and the copy continues the source's op stream
+/// where the warm-up left it.
+///
+/// # Examples
+///
+/// ```
+/// use burst_core::Mechanism;
+/// use burst_sim::{simulate, RunLength, SystemConfig, WarmStart};
+/// use burst_workloads::SpecBenchmark;
+///
+/// let base = SystemConfig::baseline().with_warm_mem_ops(20_000);
+/// let warm = WarmStart::new(&base, SpecBenchmark::Swim.workload(42));
+/// let len = RunLength::Instructions(2_000);
+/// for m in [Mechanism::RowHit, Mechanism::BurstTh(52)] {
+///     let cfg = base.with_mechanism(m);
+///     let (mut sys, mut source) = warm.clone().start(&cfg);
+///     sys.run(&mut source, len);
+///     let cold = simulate(&cfg, SpecBenchmark::Swim.workload(42), len);
+///     assert_eq!(sys.report("swim"), cold);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct WarmStart<W> {
+    cpu: CpuConfig,
+    warm_mem_ops: u64,
+    hierarchy: Hierarchy,
+    source: W,
+}
+
+impl<W: OpSource + Clone> WarmStart<W> {
+    /// Warms a cold hierarchy of `cfg.cpu` with `cfg.warm_mem_ops` memory
+    /// operations drawn from `source`.
+    pub fn new(cfg: &SystemConfig, mut source: W) -> Self {
+        let mut hierarchy = Hierarchy::new(cfg.cpu.hierarchy);
+        hierarchy.warm(&mut source, cfg.warm_mem_ops);
+        WarmStart {
+            cpu: cfg.cpu,
+            warm_mem_ops: cfg.warm_mem_ops,
+            hierarchy,
+            source,
+        }
+    }
+
+    /// An idle system for `cfg` holding the warmed caches, and the source
+    /// where warm-up stopped. Start each of several cells from a clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.cpu` or `cfg.warm_mem_ops` differ from the
+    /// configuration this state was warmed for.
+    pub fn start(self, cfg: &SystemConfig) -> (System, W) {
+        assert!(
+            cfg.cpu == self.cpu && cfg.warm_mem_ops == self.warm_mem_ops,
+            "a warm start serves only the CPU and warm-up budget it was warmed for"
+        );
+        let sched = cfg.mechanism.build(cfg.effective_ctrl(), cfg.dram.geometry);
+        let cpu = Cpu::with_hierarchy(cfg.cpu, self.hierarchy);
+        (System::assemble(cfg, sched, cpu), self.source)
+    }
 }
 
 #[cfg(test)]

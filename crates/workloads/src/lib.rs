@@ -32,6 +32,6 @@ mod trace;
 mod tracefile;
 
 pub use spec::{SpecBenchmark, SurrogateParams};
-pub use synthetic::{MixWorkload, PointerChaseWorkload, RandomWorkload, StreamWorkload};
+pub use synthetic::{MixSource, MixWorkload, PointerChaseWorkload, RandomWorkload, StreamWorkload};
 pub use trace::{CountingSource, Op, OpSource, ReplaySource};
 pub use tracefile::{load_trace, parse_trace, ParseTraceError};

@@ -9,7 +9,7 @@
 //! size and memory-level parallelism (pointer-chase fraction). See
 //! `DESIGN.md` for the substitution rationale.
 
-use crate::{MixWorkload, OpSource, PointerChaseWorkload, RandomWorkload, StreamWorkload};
+use crate::{MixSource, MixWorkload, PointerChaseWorkload, RandomWorkload, StreamWorkload};
 
 /// The 16 SPEC CPU2000 benchmarks of the paper's Figure 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,7 +152,7 @@ impl SpecBenchmark {
         // Spread the benchmark's regions over the 4 GB physical space using
         // large prime-ish offsets so streams land on distinct banks.
         let region = |i: u64| -> u64 { (0x0400_0000 + i * 0x0B40_D000) % (3u64 << 30) };
-        let mut sources: Vec<(f64, Box<dyn OpSource>)> = Vec::new();
+        let mut sources: Vec<(f64, Box<dyn MixSource>)> = Vec::new();
         if params.stream_weight > 0.0 {
             let per_stream = (params.working_set / params.n_streams as u64).max(64 * 1024);
             let bases: Vec<u64> = (0..params.n_streams as u64).map(region).collect();
@@ -214,7 +214,7 @@ impl core::fmt::Display for SpecBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Op;
+    use crate::{Op, OpSource};
 
     #[test]
     fn sixteen_benchmarks_with_unique_names() {

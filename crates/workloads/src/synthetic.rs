@@ -240,12 +240,40 @@ impl OpSource for PointerChaseWorkload {
     }
 }
 
+/// A source a [`MixWorkload`] can hold: any `Clone + Send + Sync`
+/// [`OpSource`]. Cloning a mix clones every source at its current
+/// position, so a copy continues the exact op stream of the original.
+pub trait MixSource: OpSource + Send + Sync {
+    /// A boxed copy of this source at its current position.
+    fn clone_box(&self) -> Box<dyn MixSource>;
+}
+
+impl<T: OpSource + Clone + Send + Sync + 'static> MixSource for T {
+    fn clone_box(&self) -> Box<dyn MixSource> {
+        Box::new(self.clone())
+    }
+}
+
 /// Weighted mix of several sources: each op is drawn from one source with
 /// the configured probability.
 pub struct MixWorkload {
     name: String,
-    sources: Vec<(f64, Box<dyn OpSource>)>,
+    sources: Vec<(f64, Box<dyn MixSource>)>,
     rng: SmallRng,
+}
+
+impl Clone for MixWorkload {
+    fn clone(&self) -> Self {
+        MixWorkload {
+            name: self.name.clone(),
+            sources: self
+                .sources
+                .iter()
+                .map(|(w, src)| (*w, src.clone_box()))
+                .collect(),
+            rng: self.rng.clone(),
+        }
+    }
 }
 
 impl core::fmt::Debug for MixWorkload {
@@ -263,7 +291,11 @@ impl MixWorkload {
     /// # Panics
     ///
     /// Panics if `sources` is empty or all weights are zero.
-    pub fn new(name: impl Into<String>, sources: Vec<(f64, Box<dyn OpSource>)>, seed: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        sources: Vec<(f64, Box<dyn MixSource>)>,
+        seed: u64,
+    ) -> Self {
         assert!(!sources.is_empty(), "mix needs at least one source");
         assert!(
             sources.iter().any(|(w, _)| *w > 0.0),
@@ -391,6 +423,18 @@ mod tests {
             }
         }
         assert!(low > 100 && high > 100, "low={low} high={high}");
+    }
+
+    #[test]
+    fn mix_clone_continues_the_same_stream() {
+        let mut m = crate::SpecBenchmark::Mcf.workload(5);
+        for _ in 0..1000 {
+            m.next_op();
+        }
+        let mut copy = m.clone();
+        for _ in 0..1000 {
+            assert_eq!(m.next_op(), copy.next_op());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use burst_scheduling::prelude::*;
-use burst_scheduling::workloads::{MixWorkload, OpSource, PointerChaseWorkload, StreamWorkload};
+use burst_scheduling::workloads::{MixSource, MixWorkload, PointerChaseWorkload, StreamWorkload};
 
 fn triad_with_index(seed: u64) -> MixWorkload {
     // c[i] = a[i] + s * b[i]: two loaded arrays, one stored array. Spread
@@ -31,7 +31,7 @@ fn triad_with_index(seed: u64) -> MixWorkload {
     MixWorkload::new(
         "triad+index",
         vec![
-            (0.8, Box::new(streams) as Box<dyn OpSource>),
+            (0.8, Box::new(streams) as Box<dyn MixSource>),
             (0.2, Box::new(chase) as _),
         ],
         seed ^ 2,
