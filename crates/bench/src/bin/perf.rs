@@ -8,14 +8,14 @@
 //!    profile workload (swim), reported as simulated memory megacycles per
 //!    wall-clock second. This tracks the cycle-loop hot path.
 //! 2. **Engine effect** — the same simulation under each [`Engine`]:
-//!    plain per-cycle (`cycle-noskip`), quiescent-only skipping (`cycle`)
-//!    and the full discrete-event engine (`event`), on a bandwidth-bound
-//!    workload (swim) and an idle-heavy pointer chase (mcf). All three
-//!    runs must produce bit-identical reports; only the wall clock may
-//!    differ. The event run's observability counters (events dispatched,
-//!    jump lengths, busy-vs-quiescent split) are reported alongside, and
-//!    the harness **fails** if the event engine is slower than the cycle
-//!    engine on any tracked row — the regression gate CI relies on. With
+//!    the plain per-cycle reference (`cycle-noskip`) and the
+//!    discrete-event engine (`event`), on a bandwidth-bound workload
+//!    (swim) and an idle-heavy pointer chase (mcf). Both runs must
+//!    produce bit-identical reports; only the wall clock may differ. The
+//!    event run's observability counters (events dispatched, jump
+//!    lengths, busy-vs-quiescent split) are reported alongside, and the
+//!    harness **fails** if the event engine is slower than the per-cycle
+//!    reference on any tracked row — the regression gate CI relies on. With
 //!    `--baseline FILE` it additionally fails if any row's event-engine
 //!    throughput drops more than 15% below the committed
 //!    `BENCH_perf.json`, so CI catches absolute regressions too.
@@ -48,7 +48,8 @@ use burst_core::Mechanism;
 use burst_sim::experiments::{fig8_mechanisms, Sweep};
 use burst_sim::report::render_table;
 use burst_sim::{
-    default_jobs, simulate, Engine, EngineStats, PhaseProfile, SimReport, System, SystemConfig,
+    default_jobs, simulate, Engine, EngineStats, PhaseProfile, SimReport, SupervisorConfig, System,
+    SystemConfig,
 };
 use burst_workloads::SpecBenchmark;
 
@@ -72,7 +73,6 @@ struct EngineEffect {
     mechanism: Mechanism,
     mem_cycles: u64,
     noskip_secs: f64,
-    cycle_secs: f64,
     event_secs: f64,
     stats: EngineStats,
 }
@@ -92,13 +92,8 @@ impl EngineEffect {
             (report, start.elapsed().as_secs_f64())
         };
         let (noskip, noskip_secs) = timed(Engine::CycleNoSkip);
-        let (cycle, cycle_secs) = timed(Engine::Cycle);
         let (event, event_secs) = timed(Engine::Event);
         // The engine bit-identity guarantee, enforced on every perf run.
-        assert_eq!(
-            noskip, cycle,
-            "quiescent skipping must be bit-identical to per-cycle stepping"
-        );
         assert_eq!(
             noskip, event,
             "the event engine must be bit-identical to per-cycle stepping"
@@ -108,7 +103,6 @@ impl EngineEffect {
             mechanism,
             mem_cycles: event.mem_cycles,
             noskip_secs,
-            cycle_secs,
             event_secs,
             stats: event.engine,
         }
@@ -116,10 +110,6 @@ impl EngineEffect {
 
     fn rate(&self, secs: f64) -> f64 {
         self.mem_cycles as f64 / 1e6 / secs
-    }
-
-    fn event_speedup_vs_cycle(&self) -> f64 {
-        self.cycle_secs / self.event_secs
     }
 
     fn event_speedup_vs_noskip(&self) -> f64 {
@@ -350,9 +340,8 @@ fn main() -> std::process::ExitCode {
                 e.mechanism.name(),
                 format!("{}", e.mem_cycles),
                 format!("{:.2}", e.rate(e.noskip_secs)),
-                format!("{:.2}", e.rate(e.cycle_secs)),
                 format!("{:.2}", e.rate(e.event_secs)),
-                format!("{:.2}", e.event_speedup_vs_cycle()),
+                format!("{:.2}", e.event_speedup_vs_noskip()),
             ]
         })
         .collect();
@@ -364,9 +353,8 @@ fn main() -> std::process::ExitCode {
                 "mechanism",
                 "mem cycles",
                 "noskip Mc/s",
-                "cycle Mc/s",
                 "event Mc/s",
-                "event/cycle",
+                "event/noskip",
             ],
             &rows,
         )
@@ -406,18 +394,18 @@ fn main() -> std::process::ExitCode {
         )
     );
     // The regression gate: the event engine must never be slower than
-    // the quiescent-only cycle engine on a tracked row.
+    // the per-cycle reference on a tracked row.
     let mut regressed = false;
     for e in &effects {
-        if e.event_secs > e.cycle_secs {
+        if e.event_secs > e.noskip_secs {
             regressed = true;
             eprintln!(
-                "PERF REGRESSION: event engine slower than cycle engine on \
+                "PERF REGRESSION: event engine slower than cycle-noskip on \
                  {}/{} ({:.2} vs {:.2} Mcycles/s)",
                 e.benchmark.name(),
                 e.mechanism.name(),
                 e.rate(e.event_secs),
-                e.rate(e.cycle_secs),
+                e.rate(e.noskip_secs),
             );
         }
     }
@@ -596,14 +584,19 @@ fn main() -> std::process::ExitCode {
     let mut serial_csv: Option<String> = None;
     for &jobs in &job_levels {
         let start = Instant::now();
-        let sweep = Sweep::run_with_config(
+        let sweep = Sweep::run_supervised(
+            "sweep",
             &base,
             &sweep_benches,
             &mechanisms,
             opts.run,
             opts.seed,
             jobs,
-        );
+            &SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .value;
         let secs = start.elapsed().as_secs_f64();
         let csv = burst_sim::export::sweep_to_csv(&sweep);
         // The executor's determinism guarantee, enforced at every level.
@@ -670,9 +663,7 @@ fn main() -> std::process::ExitCode {
         json.push_str(&format!(
             "    {{\"workload\": {}, \"mechanism\": {}, \"mem_cycles\": {}, \
              \"noskip_secs\": {:.6}, \"noskip_mcycles_per_sec\": {:.3}, \
-             \"cycle_secs\": {:.6}, \"cycle_mcycles_per_sec\": {:.3}, \
              \"event_secs\": {:.6}, \"event_mcycles_per_sec\": {:.3}, \
-             \"event_speedup_vs_cycle\": {:.3}, \
              \"event_speedup_vs_noskip\": {:.3}, \
              \"events_dispatched\": {}, \"events_per_kcycle\": {:.3}, \
              \"mean_jump\": {:.3}, \
@@ -683,11 +674,8 @@ fn main() -> std::process::ExitCode {
             e.mem_cycles,
             e.noskip_secs,
             e.rate(e.noskip_secs),
-            e.cycle_secs,
-            e.rate(e.cycle_secs),
             e.event_secs,
             e.rate(e.event_secs),
-            e.event_speedup_vs_cycle(),
             e.event_speedup_vs_noskip(),
             e.stats.events_dispatched(),
             e.stats.events_per_kcycle(e.mem_cycles),

@@ -142,8 +142,19 @@ fn fresh_dir(dir: &Path) {
 
 /// Runs the reference sweep with clean I/O and returns its CSV.
 fn reference_csv(cfg: &MatrixConfig) -> String {
-    let sweep = Sweep::run(&cfg.benchmarks, &cfg.mechanisms, cfg.run, cfg.seed);
-    sweep_to_csv(&sweep)
+    let sweep = Sweep::run_supervised(
+        "chaos",
+        &SystemConfig::baseline(),
+        &cfg.benchmarks,
+        &cfg.mechanisms,
+        cfg.run,
+        cfg.seed,
+        0,
+        &SupervisorConfig::default(),
+        None,
+        None,
+    );
+    sweep_to_csv(&sweep.value)
 }
 
 /// One create-run-resume-run cycle against `io`. Returns the error text

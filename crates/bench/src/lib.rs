@@ -36,10 +36,9 @@ pub struct HarnessOptions {
     pub jobs: usize,
     /// Directory for CSV dumps (`--csv DIR`), if requested.
     pub csv: Option<std::path::PathBuf>,
-    /// Simulation engine (`--engine {event,cycle,cycle-noskip}`; results
-    /// are bit-identical for every choice, only the wall-clock time
-    /// changes). `--no-skip` is kept as a deprecated alias for
-    /// `--engine cycle-noskip`.
+    /// Simulation engine (`--engine {event,cycle-noskip}`; results are
+    /// bit-identical for either choice, only the wall-clock time
+    /// changes).
     pub engine: Engine,
     /// Journal file started fresh for this run (`--journal FILE`): every
     /// completed cell is appended and fsynced, so a crash mid-sweep can be
@@ -94,7 +93,7 @@ pub struct HarnessOptions {
 /// The flags every harness binary accepts, printed with a parse error.
 const USAGE: &str = "\
 flags: --instructions N  --seed N  --benchmarks a,b,c  --jobs N  --csv DIR
-       --engine {event,cycle,cycle-noskip}  --journal FILE  --resume FILE
+       --engine {event,cycle-noskip}  --journal FILE  --resume FILE
        --deadline SECS  --max-retries N  --inject-cell-faults SEED
        --checkpoint-every N  --checkpoint-dir DIR  --checkpoint-durable {true,false}
        --oracle  --chaos-seed SEED  --chaos-site NAME  --chaos-kind KIND  --chaos-op N";
@@ -108,9 +107,10 @@ impl HarnessOptions {
     /// from `std::env::args`, with the given default instruction budget.
     ///
     /// A flag with a missing or malformed value — a number that does not
-    /// parse, an unknown engine — prints the error and the list of flags
-    /// and exits with status 2. Arguments that are not harness flags are ignored so
-    /// binaries can be combined with cargo flags freely.
+    /// parse, an unknown engine or benchmark name — prints the error and
+    /// the list of flags and exits with status 2. Arguments that are not
+    /// harness flags are ignored so binaries can be combined with cargo
+    /// flags freely.
     pub fn from_args(default_instructions: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
         Self::from_arg_slice(&args, default_instructions).unwrap_or_else(|e| {
@@ -151,11 +151,8 @@ impl HarnessOptions {
         let jobs = parsed("--jobs", value_of("--jobs")?)?.unwrap_or(0);
         let csv = value_of("--csv")?.map(std::path::PathBuf::from);
         let engine = match value_of("--engine")? {
-            Some(name) => Engine::from_name(&name).ok_or_else(|| {
-                format!("unknown engine {name:?} (valid: event, cycle, cycle-noskip)")
-            })?,
-            // Deprecated alias from before the event engine existed.
-            None if args.iter().any(|a| a == "--no-skip") => Engine::CycleNoSkip,
+            Some(name) => Engine::from_name(&name)
+                .ok_or_else(|| format!("unknown engine {name:?} (valid: event, cycle-noskip)"))?,
             None => Engine::Event,
         };
         let journal = value_of("--journal")?.map(std::path::PathBuf::from);
@@ -186,22 +183,20 @@ impl HarnessOptions {
         let chaos_site = value_of("--chaos-site")?;
         let chaos_kind = value_of("--chaos-kind")?;
         let chaos_op = number("--chaos-op")?;
-        let benchmarks = value_of("--benchmarks")?
-            .map(|list| {
-                let mut picks = Vec::new();
-                for name in list.split(',') {
-                    match SpecBenchmark::from_name(name) {
-                        Some(b) => picks.push(b),
-                        None => eprintln!(
-                            "warning: unknown benchmark {name:?} ignored (valid: {})",
+        let benchmarks = match value_of("--benchmarks")? {
+            Some(list) => list
+                .split(',')
+                .map(|name| {
+                    SpecBenchmark::from_name(name).ok_or_else(|| {
+                        format!(
+                            "unknown benchmark {name:?} in --benchmarks (valid: {})",
                             SpecBenchmark::all16().map(|b| b.name()).join(",")
-                        ),
-                    }
-                }
-                picks
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| SpecBenchmark::all16().to_vec());
+                        )
+                    })
+                })
+                .collect::<Result<_, _>>()?,
+            None => SpecBenchmark::all16().to_vec(),
+        };
         Ok(HarnessOptions {
             run: RunLength::Instructions(instructions),
             seed,
@@ -226,7 +221,7 @@ impl HarnessOptions {
     }
 
     /// The I/O layer implied by the `--chaos-*` flags: a scripted
-    /// single-fault [`ChaosIo`] when `--chaos-site`/`--chaos-kind`/
+    /// single-fault [`burst_sim::ChaosIo`] when `--chaos-site`/`--chaos-kind`/
     /// `--chaos-op` are all given, a seeded one for `--chaos-seed`, and
     /// the zero-overhead real-filesystem passthrough otherwise. Exits
     /// with status 2 on an unparseable site or kind name — a chaos run
@@ -587,8 +582,10 @@ mod tests {
         let base = parse(&[]).fingerprint_desc();
         assert_eq!(parse(&["--jobs", "7"]).fingerprint_desc(), base);
         assert_eq!(parse(&["--deadline", "2"]).fingerprint_desc(), base);
-        assert_eq!(parse(&["--no-skip"]).fingerprint_desc(), base);
-        assert_eq!(parse(&["--engine", "cycle"]).fingerprint_desc(), base);
+        assert_eq!(
+            parse(&["--engine", "cycle-noskip"]).fingerprint_desc(),
+            base
+        );
         assert_ne!(parse(&["--seed", "7"]).fingerprint_desc(), base);
         assert_ne!(parse(&["--instructions", "9"]).fingerprint_desc(), base);
         assert_ne!(parse(&["--benchmarks", "swim"]).fingerprint_desc(), base);
@@ -619,24 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_and_deprecated_no_skip() {
+    fn parses_engine() {
         let parse = |extra: &[&str]| {
             let mut args = vec!["bin".to_string()];
             args.extend(extra.iter().map(|s| s.to_string()));
             HarnessOptions::from_arg_slice(&args, 500).expect("valid flags")
         };
         assert_eq!(parse(&["--engine", "event"]).engine, Engine::Event);
-        assert_eq!(parse(&["--engine", "cycle"]).engine, Engine::Cycle);
         let o = parse(&["--engine", "cycle-noskip"]);
         assert_eq!(o.engine, Engine::CycleNoSkip);
         assert_eq!(o.system_config().engine, Engine::CycleNoSkip);
-        // The pre-event-engine spelling still works...
-        assert_eq!(parse(&["--no-skip"]).engine, Engine::CycleNoSkip);
-        // ...but an explicit --engine wins over the deprecated alias.
-        assert_eq!(
-            parse(&["--no-skip", "--engine", "event"]).engine,
-            Engine::Event
-        );
     }
 
     #[test]
@@ -648,6 +637,9 @@ mod tests {
         };
         for bad in [
             &["--engine", "warp"][..],
+            &["--engine", "cycle"],
+            &["--benchmarks", "swmi"],
+            &["--benchmarks", "swim,"],
             &["--instructions", "60k"],
             &["--seed", "-1"],
             &["--jobs", "two"],

@@ -67,7 +67,7 @@ impl AdaptiveHistoryScheduler {
 
     /// The read share the history currently targets, in `[0, 1]`.
     /// Report-only: scheduling decisions use the integer form in
-    /// [`Self::wants_read`].
+    /// `wants_read`.
     // audit: allow(float): report-only accessor, never feeds scheduling
     pub fn target_read_share(&self) -> f64 {
         // audit: allow(float): report-only accessor, never feeds scheduling

@@ -252,7 +252,7 @@ impl ProtocolChecker {
         self.total
     }
 
-    /// The first [`MAX_RECORDED`] violations with full context.
+    /// The first 64 violations (`MAX_RECORDED`) with full context.
     pub fn violations(&self) -> &[Violation] {
         &self.recorded
     }

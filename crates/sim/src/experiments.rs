@@ -13,7 +13,7 @@ use burst_workloads::{MixWorkload, OpSource, SpecBenchmark};
 use crate::checkpoint::{try_simulate_checkpointed, CheckpointPolicy, CheckpointedRunError};
 use crate::simio::{real_io, SimIo};
 use crate::supervisor::{supervise_with, CellError, CellOutcome, FailureKind, SupervisorConfig};
-use crate::{simulate, Journal, RunLength, SimReport, System, SystemConfig, WarmStart};
+use crate::{Journal, RunLength, SimReport, System, SystemConfig, WarmStart};
 
 /// Per-sweep checkpoint plan: where each cell writes its mid-run
 /// checkpoint and how often. Threaded from the harness `--checkpoint-every`
@@ -228,75 +228,17 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Runs `benchmarks` x `mechanisms`, each for `len` at `seed`, on the
-    /// default number of worker threads (see [`crate::default_jobs`]).
-    pub fn run(
-        benchmarks: &[SpecBenchmark],
-        mechanisms: &[Mechanism],
-        len: RunLength,
-        seed: u64,
-    ) -> Sweep {
-        Self::run_with_jobs(benchmarks, mechanisms, len, seed, 0)
-    }
-
-    /// Like [`Sweep::run`], with an explicit worker-thread count: `0`
-    /// auto-detects, `1` runs serially inline. Cell order — and every cell's
-    /// report — is identical for any job count: each cell is an independent
-    /// seeded simulation and [`crate::map_parallel`] returns results in
-    /// input order.
-    pub fn run_with_jobs(
-        benchmarks: &[SpecBenchmark],
-        mechanisms: &[Mechanism],
-        len: RunLength,
-        seed: u64,
-        jobs: usize,
-    ) -> Sweep {
-        Self::run_with_config(
-            &SystemConfig::baseline(),
-            benchmarks,
-            mechanisms,
-            len,
-            seed,
-            jobs,
-        )
-    }
-
-    /// Like [`Sweep::run_with_jobs`], on a caller-supplied base system
-    /// configuration (each cell overrides only the mechanism) — the seam
-    /// the harnesses use to thread global toggles such as
-    /// [`SystemConfig::skip`] through every experiment.
-    pub fn run_with_config(
-        base: &SystemConfig,
-        benchmarks: &[SpecBenchmark],
-        mechanisms: &[Mechanism],
-        len: RunLength,
-        seed: u64,
-        jobs: usize,
-    ) -> Sweep {
-        let mut grid = Vec::with_capacity(benchmarks.len() * mechanisms.len());
-        for &b in benchmarks {
-            for &m in mechanisms {
-                grid.push((b, m));
-            }
-        }
-        let cells = crate::map_parallel(&grid, jobs, |_, &(b, m)| {
-            let cfg = base.with_mechanism(m);
-            let report = simulate(&cfg, b.workload(seed), len);
-            SweepCell {
-                benchmark: b,
-                mechanism: m,
-                report,
-            }
-        });
-        Sweep { cells }
-    }
-
-    /// Like [`Sweep::run_with_config`], but crash-isolated: every cell runs
-    /// under [`crate::supervise`] with per-cell deadlines, bounded retries
-    /// and (optionally) journalled resume. A panicking, stalling or wedged
-    /// cell becomes a [`CellFailure`] record instead of tearing down the
-    /// sweep; the returned [`Sweep`] holds every cell that *did* complete,
-    /// still in grid order, so figure extraction degrades gracefully.
+    /// Runs `benchmarks` x `mechanisms` on `base` (each cell overrides
+    /// only the mechanism), each for `len` at `seed`, on `jobs` worker
+    /// threads (`0` auto-detects, see [`crate::default_jobs`]). Cell order
+    /// — and every cell's report — is identical for any job count.
+    ///
+    /// Every cell runs under [`crate::supervise`] with per-cell deadlines,
+    /// bounded retries and (optionally) journalled resume. A panicking,
+    /// stalling or wedged cell becomes a [`CellFailure`] record instead of
+    /// tearing down the sweep; the returned [`Sweep`] holds every cell
+    /// that *did* complete, still in grid order, so figure extraction
+    /// degrades gracefully.
     ///
     /// `scope` namespaces journal keys (`scope/benchmark/mechanism`) so one
     /// journal file can serve several grids in the same harness run. When a
@@ -734,60 +676,6 @@ pub struct OutstandingRow {
     pub mean_writes: f64,
 }
 
-/// Figure 8: distribution of outstanding accesses for `benchmark` (the
-/// paper uses swim) under the Figure 8 mechanisms.
-pub fn fig8(benchmark: SpecBenchmark, len: RunLength, seed: u64) -> Vec<OutstandingRow> {
-    fig8_with_jobs(benchmark, len, seed, 0)
-}
-
-/// [`fig8`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig8_with_jobs(
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    fig8_with_config(&SystemConfig::baseline(), benchmark, len, seed, jobs)
-}
-
-/// [`fig8_with_jobs`] on a caller-supplied base configuration.
-pub fn fig8_with_config(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    outstanding_rows(base, benchmark, &fig8_mechanisms(), len, seed, jobs)
-}
-
-/// Figure 11: distribution of outstanding accesses for `benchmark` under
-/// the threshold sweep.
-pub fn fig11(benchmark: SpecBenchmark, len: RunLength, seed: u64) -> Vec<OutstandingRow> {
-    fig11_with_jobs(benchmark, len, seed, 0)
-}
-
-/// [`fig11`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig11_with_jobs(
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    fig11_with_config(&SystemConfig::baseline(), benchmark, len, seed, jobs)
-}
-
-/// [`fig11_with_jobs`] on a caller-supplied base configuration.
-pub fn fig11_with_config(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    outstanding_rows(base, benchmark, &fig12_mechanisms(), len, seed, jobs)
-}
-
 /// Derives one outstanding-access row from a finished report. Everything
 /// Figure 8/11 plots lives in the controller stats, so rows can equally be
 /// rebuilt from journalled reports on resume.
@@ -802,25 +690,11 @@ fn outstanding_row(mechanism: Mechanism, report: &SimReport) -> OutstandingRow {
     }
 }
 
-fn outstanding_rows(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    mechanisms: &[Mechanism],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    crate::map_parallel(mechanisms, jobs, |_, &m| {
-        let cfg = base.with_mechanism(m);
-        let report = simulate(&cfg, benchmark.workload(seed), len);
-        outstanding_row(m, &report)
-    })
-}
-
-/// Crash-isolated [`outstanding_rows`]: the supervised backend for
-/// Figures 8 and 11. Pass [`fig8_mechanisms`] with scope `"fig8"` or
-/// [`fig12_mechanisms`] with scope `"fig11"`. Rows for failed cells are
-/// simply missing; the failures travel in [`Supervised::failures`].
+/// Figures 8 and 11: the outstanding-access distributions for one
+/// benchmark, crash-isolated. Pass [`fig8_mechanisms`] with scope
+/// `"fig8"` or [`fig12_mechanisms`] with scope `"fig11"`. Rows for failed
+/// cells are simply missing; the failures travel in
+/// [`Supervised::failures`].
 #[allow(clippy::too_many_arguments)]
 pub fn outstanding_supervised(
     scope: &str,
@@ -870,34 +744,6 @@ pub struct Fig12Row {
     pub write_latency: f64,
     /// Execution time normalised to plain `Burst`.
     pub normalized_exec: f64,
-}
-
-/// Figure 12: the threshold sweep over `benchmarks`.
-pub fn fig12(benchmarks: &[SpecBenchmark], len: RunLength, seed: u64) -> Vec<Fig12Row> {
-    fig12_with_jobs(benchmarks, len, seed, 0)
-}
-
-/// [`fig12`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig12_with_jobs(
-    benchmarks: &[SpecBenchmark],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<Fig12Row> {
-    fig12_with_config(&SystemConfig::baseline(), benchmarks, len, seed, jobs)
-}
-
-/// [`fig12_with_jobs`] on a caller-supplied base configuration.
-pub fn fig12_with_config(
-    base: &SystemConfig,
-    benchmarks: &[SpecBenchmark],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<Fig12Row> {
-    let mechanisms = fig12_mechanisms();
-    let sweep = Sweep::run_with_config(base, benchmarks, &mechanisms, len, seed, jobs);
-    fig12_rows_from_sweep(&sweep, &mechanisms)
 }
 
 /// Crash-isolated Figure 12: the threshold sweep under supervision, with
@@ -1170,26 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_sweep_matches_plain_sweep() {
-        let base = SystemConfig::baseline();
-        let bs = [SpecBenchmark::Swim];
-        let ms = [Mechanism::BkInOrder, Mechanism::BurstTh(52)];
-        let len = RunLength::Instructions(3_000);
-        let plain = Sweep::run_with_config(&base, &bs, &ms, len, 1, 1);
-        let sup = SupervisorConfig {
-            backoff_base_ms: 0,
-            ..SupervisorConfig::default()
-        };
-        let s = Sweep::run_supervised("sweep", &base, &bs, &ms, len, 1, 2, &sup, None, None);
-        assert!(s.ok());
-        assert_eq!(s.resumed, 0);
-        assert_eq!(s.value.cells.len(), plain.cells.len());
-        for (a, b) in plain.cells.iter().zip(&s.value.cells) {
-            assert_eq!(a.report, b.report, "supervision must not perturb results");
-        }
-    }
-
-    #[test]
     fn supervised_sweep_restores_cells_from_journal() {
         let base = SystemConfig::baseline();
         let bs = [SpecBenchmark::Gzip];
@@ -1255,7 +1081,10 @@ mod tests {
         let fp = crate::journal::fingerprint("experiments-ckpt-test");
         let plan = CheckpointPlan::new(500, dir.clone(), fp);
         let jpath = dir.join("sweep.journal");
-        let plain = Sweep::run_with_config(&base, &bs, &ms, len, 1, 1);
+        let per_cell: Vec<SimReport> = ms
+            .iter()
+            .map(|&m| crate::try_simulate(&base.with_mechanism(m), bs[0].workload(1), len).unwrap())
+            .collect();
         let first = {
             let journal = crate::Journal::create(&jpath, fp).unwrap();
             Sweep::run_supervised(
@@ -1272,8 +1101,9 @@ mod tests {
             )
         };
         assert!(first.ok());
-        for (a, b) in plain.cells.iter().zip(&first.value.cells) {
-            assert_eq!(a.report, b.report, "checkpointing must not perturb results");
+        assert_eq!(first.value.cells.len(), per_cell.len());
+        for (a, b) in per_cell.iter().zip(&first.value.cells) {
+            assert_eq!(*a, b.report, "checkpointing must not perturb results");
         }
         for &(b, m) in &[(bs[0], ms[0]), (bs[0], ms[1])] {
             assert!(
@@ -1345,12 +1175,19 @@ mod tests {
 
     #[test]
     fn sweep_runs_and_extracts_rows() {
-        let sweep = Sweep::run(
+        let sweep = Sweep::run_supervised(
+            "sweep",
+            &SystemConfig::baseline(),
             &[SpecBenchmark::Swim],
             &[Mechanism::BkInOrder, Mechanism::BurstTh(52)],
             RunLength::Instructions(3_000),
             1,
-        );
+            0,
+            &SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .value;
         assert_eq!(sweep.cells.len(), 2);
         let fig7 = sweep.fig7_rows();
         assert_eq!(fig7.len(), 2);

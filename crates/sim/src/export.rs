@@ -219,18 +219,25 @@ pub fn outstanding_to_csv(rows: &[OutstandingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Sweep;
-    use crate::RunLength;
+    use crate::experiments::{fig8_mechanisms, outstanding_supervised, Sweep};
+    use crate::{RunLength, SupervisorConfig, SystemConfig};
     use burst_core::Mechanism;
     use burst_workloads::SpecBenchmark;
 
     fn mini_sweep() -> Sweep {
-        Sweep::run(
+        Sweep::run_supervised(
+            "sweep",
+            &SystemConfig::baseline(),
             &[SpecBenchmark::Gzip],
             &[Mechanism::BkInOrder, Mechanism::BurstTh(52)],
             RunLength::Instructions(2_000),
             1,
+            0,
+            &SupervisorConfig::default(),
+            None,
+            None,
         )
+        .value
     }
 
     #[test]
@@ -264,7 +271,19 @@ mod tests {
 
     #[test]
     fn outstanding_csv_long_format() {
-        let rows = crate::experiments::fig8(SpecBenchmark::Gzip, RunLength::Instructions(2_000), 1);
+        let rows = outstanding_supervised(
+            "fig8",
+            &SystemConfig::baseline(),
+            SpecBenchmark::Gzip,
+            &fig8_mechanisms(),
+            RunLength::Instructions(2_000),
+            1,
+            0,
+            &SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .value;
         let csv = outstanding_to_csv(&rows);
         assert!(csv.starts_with("mechanism,kind,occupancy,fraction\n"));
         assert!(csv.contains(",read,"));

@@ -204,7 +204,7 @@ impl<W: OpSource> Engine<W> {
 }
 
 /// Runs `cfg` under the lockstep oracle: the engine `cfg` selects (the
-/// event engine by default) and a per-cycle no-skip reference engine
+/// event engine by default) and the per-cycle reference engine
 /// advance in [`OracleConfig::epoch`]-cycle strides, comparing state
 /// hashes at every boundary, with `perturb` (a self-test fault) applied
 /// to the test engine only.

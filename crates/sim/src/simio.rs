@@ -234,7 +234,8 @@ enum ChaosMode {
 }
 
 /// A deterministic chaos filesystem: wraps [`RealIo`] and injects labeled
-/// faults per [`ChaosMode`]. Interior counters make each instance one
+/// faults on the schedule its constructor picks ([`ChaosIo::counting`],
+/// [`ChaosIo::scripted`], [`ChaosIo::seeded`]). Interior counters make each instance one
 /// run's worth of schedule — build a fresh one per simulated crash.
 #[derive(Debug)]
 pub struct ChaosIo {

@@ -73,36 +73,26 @@ pub enum Engine {
     /// system holds outstanding work. Per-tick bookkeeping over a jump is
     /// replayed in closed form.
     Event,
-    /// The legacy per-cycle loop with event-horizon skipping of *quiescent*
-    /// stretches only (the CPU fully stalled and the controller empty);
-    /// busy periods execute cycle by cycle.
-    Cycle,
     /// The plain per-cycle loop with no skipping at all — the reference
-    /// everything else is diffed against.
+    /// the event engine is diffed against.
     CycleNoSkip,
 }
 
 impl Engine {
     /// All engines, fastest first — determinism suites iterate this.
-    pub const ALL: [Engine; 3] = [Engine::Event, Engine::Cycle, Engine::CycleNoSkip];
+    pub const ALL: [Engine; 2] = [Engine::Event, Engine::CycleNoSkip];
 
     /// The `--engine` flag spelling of this variant.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Event => "event",
-            Engine::Cycle => "cycle",
             Engine::CycleNoSkip => "cycle-noskip",
         }
     }
 
     /// Parses an `--engine` flag value.
     pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "event" => Some(Engine::Event),
-            "cycle" => Some(Engine::Cycle),
-            "cycle-noskip" | "cycle_noskip" | "noskip" => Some(Engine::CycleNoSkip),
-            _ => None,
-        }
+        Engine::ALL.into_iter().find(|e| e.name() == name)
     }
 }
 
@@ -133,20 +123,6 @@ impl SystemConfig {
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// Enables or disables event-horizon cycle skipping.
-    ///
-    /// Deprecated spelling kept for the pre-event-engine API: `true` maps
-    /// to [`Engine::Cycle`] (quiescent-only skipping), `false` to
-    /// [`Engine::CycleNoSkip`]. New code should use
-    /// [`SystemConfig::with_engine`].
-    pub fn with_skip(self, skip: bool) -> Self {
-        self.with_engine(if skip {
-            Engine::Cycle
-        } else {
-            Engine::CycleNoSkip
-        })
     }
 
     /// Enables or disables the runtime DDR2 protocol checker.
@@ -502,8 +478,7 @@ pub struct EngineStats {
     pub quiescent_jumps: u64,
     /// Cycles covered by quiescent jumps.
     pub quiescent_skipped: u64,
-    /// Clock jumps taken while the memory system held outstanding work
-    /// (the event engine's contribution over quiescent-only skipping).
+    /// Clock jumps taken while the memory system held outstanding work.
     pub busy_jumps: u64,
     /// Cycles covered by busy jumps.
     pub busy_skipped: u64,
@@ -914,9 +889,9 @@ impl System {
         //    full-width compute streaks inside the step in closed form —
         //    bit-identically to per-cycle stepping, since nothing external
         //    (read delivery, hand-off) happens between the micro-cycles of
-        //    one step. The cycle engines keep the plain loop as an
-        //    independent reference implementation.
-        if self.cfg.engine == Engine::Event {
+        //    one step. The reference engine keeps the plain loop as an
+        //    independent implementation.
+        if !self.reference_engine() {
             self.cpu
                 .run_until(self.cpu.now() + self.cfg.cpu.cpu_ratio, workload);
         } else {
@@ -995,6 +970,13 @@ impl System {
         self.mem_cycle += 1;
     }
 
+    /// Whether this system runs the per-cycle reference engine
+    /// ([`Engine::CycleNoSkip`]), which steps every cycle explicitly and
+    /// never jumps.
+    fn reference_engine(&self) -> bool {
+        self.cfg.engine == Engine::CycleNoSkip
+    }
+
     /// Turns on wall-clock phase profiling for subsequent steps (see
     /// [`PhaseProfile`]). Report-only: enabling it cannot change one bit
     /// of simulated behaviour, only how much the host clock is read.
@@ -1042,7 +1024,7 @@ impl System {
     /// no next event); callers cap it with their run budget before
     /// calling [`System::advance_idle`].
     fn skip_horizon(&self, quiescent: bool) -> Option<u64> {
-        if self.cfg.engine == Engine::CycleNoSkip || self.mem_cycle == 0 || !quiescent {
+        if self.reference_engine() || self.mem_cycle == 0 || !quiescent {
             return None;
         }
         if self.cpu.pending_read_requests() != 0 || self.cpu.pending_writebacks() != 0 {
@@ -1094,7 +1076,7 @@ impl System {
     /// enqueue, or the full tick at the horizon itself — both clear the
     /// cache.
     fn tick_horizon(&mut self, quiescent: bool) -> Option<Cycle> {
-        if self.cfg.engine != Engine::Event || self.mem_cycle == 0 || quiescent {
+        if self.reference_engine() || self.mem_cycle == 0 || quiescent {
             return None;
         }
         if let Some(e) = self.tick_horizon {
@@ -1123,7 +1105,7 @@ impl System {
     /// the scheduler's own arbiter/selection/watchdog/adaptation fixpoint
     /// holds for the whole stretch ([`AccessScheduler::next_busy_event`]).
     fn busy_horizon(&mut self, quiescent: bool) -> Option<u64> {
-        if self.cfg.engine != Engine::Event || self.mem_cycle == 0 || quiescent {
+        if self.reference_engine() || self.mem_cycle == 0 || quiescent {
             return None;
         }
         // The cheap vetoes come first, so event-dense phases — where the
@@ -1876,7 +1858,7 @@ mod tests {
         s1.try_run(&mut w1, RunLength::MemCycles(2_000)).unwrap();
 
         let mut w2 = SpecBenchmark::Swim.workload(5);
-        let mut s2 = System::new(&cfg.with_skip(false));
+        let mut s2 = System::new(&cfg.with_engine(Engine::CycleNoSkip));
         s2.warm(&mut w2);
         s2.try_run(&mut w2, RunLength::MemCycles(2_000)).unwrap();
 

@@ -1,7 +1,6 @@
-//! Determinism gate for clock jumping: skipping cycles — quiescent
-//! stretches under [`Engine::Cycle`], quiescent *and* busy stretches
-//! under the full discrete-event [`Engine::Event`] — must be invisible in
-//! every output. A run under any engine must produce a [`SimReport`]
+//! Determinism gate for clock jumping: skipping cycles — quiescent *and*
+//! busy stretches under the discrete-event [`Engine::Event`] — must be
+//! invisible in every output. An event-engine run must produce a [`SimReport`]
 //! equal field by field to the per-cycle reference — statistics,
 //! histograms, robustness counters, everything — for every mechanism, and
 //! the device's `next_event` horizon must never overshoot a cycle in
@@ -42,19 +41,17 @@ fn every_engine_is_bit_identical_on_idle_heavy_workload() {
             SpecBenchmark::Mcf.workload(7),
             RunLength::Instructions(2_000),
         );
-        for engine in [Engine::Cycle, Engine::Event] {
-            let report = simulate(
-                &config(m, engine),
-                SpecBenchmark::Mcf.workload(7),
-                RunLength::Instructions(2_000),
-            );
-            assert_eq!(
-                report,
-                reference,
-                "engine {engine} changed the report for {}",
-                m.name()
-            );
-        }
+        let event = simulate(
+            &config(m, Engine::Event),
+            SpecBenchmark::Mcf.workload(7),
+            RunLength::Instructions(2_000),
+        );
+        assert_eq!(
+            event,
+            reference,
+            "event engine changed the report for {}",
+            m.name()
+        );
     }
 }
 
@@ -93,20 +90,18 @@ fn every_engine_is_bit_identical_in_mem_cycles_mode() {
             SpecBenchmark::Mcf.workload(11),
             RunLength::MemCycles(40_000),
         );
-        for engine in [Engine::Cycle, Engine::Event] {
-            let report = simulate(
-                &config(m, engine),
-                SpecBenchmark::Mcf.workload(11),
-                RunLength::MemCycles(40_000),
-            );
-            assert_eq!(report.mem_cycles, 40_000, "budget must be exact");
-            assert_eq!(
-                report,
-                reference,
-                "engine {engine} changed the report for {}",
-                m.name()
-            );
-        }
+        let event = simulate(
+            &config(m, Engine::Event),
+            SpecBenchmark::Mcf.workload(11),
+            RunLength::MemCycles(40_000),
+        );
+        assert_eq!(event.mem_cycles, 40_000, "budget must be exact");
+        assert_eq!(
+            event,
+            reference,
+            "event engine changed the report for {}",
+            m.name()
+        );
     }
 }
 
@@ -114,16 +109,16 @@ fn every_engine_is_bit_identical_in_mem_cycles_mode() {
 fn skip_actually_engages_on_idle_heavy_workload() {
     // Guard against the equality tests passing vacuously because the
     // horizon never fires: on a pointer chase a large share of cycles
-    // must be jumped, not stepped.
-    let cfg = config(Mechanism::BurstTh(52), Engine::Cycle);
+    // must be jumped by the quiescent horizon alone, not stepped.
+    let cfg = config(Mechanism::BurstTh(52), Engine::Event);
     let mut workload = SpecBenchmark::Mcf.workload(7);
     let mut sys = System::new(&cfg);
     sys.warm(&mut workload);
     sys.run(&mut workload, RunLength::Instructions(2_000));
+    let quiescent = sys.engine_stats().quiescent_skipped;
     assert!(
-        sys.skipped_cycles() > sys.mem_cycle() / 4,
-        "only {} of {} cycles were skipped on an idle-heavy workload",
-        sys.skipped_cycles(),
+        quiescent > sys.mem_cycle() / 4,
+        "only {quiescent} of {} cycles were jumped quiescent on an idle-heavy workload",
         sys.mem_cycle()
     );
 
@@ -134,7 +129,7 @@ fn skip_actually_engages_on_idle_heavy_workload() {
     assert_eq!(
         off.skipped_cycles(),
         0,
-        "the no-skip engine must never jump"
+        "the cycle-noskip engine must never jump"
     );
 }
 
@@ -194,13 +189,6 @@ fn event_engine_actually_takes_busy_jumps() {
         chase.mem_cycle(),
         "every cycle must be either stepped or jumped"
     );
-
-    // The cycle engine must never take busy jumps on the same run.
-    let mut workload = SpecBenchmark::Swim.workload(7);
-    let mut cyc = System::new(&cfg.with_engine(Engine::Cycle));
-    cyc.warm(&mut workload);
-    cyc.run(&mut workload, RunLength::Instructions(5_000));
-    assert_eq!(cyc.engine_stats().busy_jumps, 0);
 }
 
 /// A request the greedy driver will execute: bank, row, col, read/write.
@@ -289,7 +277,7 @@ proptest! {
 }
 
 proptest! {
-    // Three full simulations per case: keep the case count modest.
+    // Two full simulations per case: keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Full-system equivalence on random seeds and mechanisms: the engine
@@ -309,9 +297,7 @@ proptest! {
         let len = RunLength::Instructions(800);
         let reference = simulate(
             &config(mechanism, Engine::CycleNoSkip), bench.workload(seed), len);
-        for engine in [Engine::Cycle, Engine::Event] {
-            let report = simulate(&config(mechanism, engine), bench.workload(seed), len);
-            prop_assert_eq!(&report, &reference, "engine {} diverged", engine);
-        }
+        let event = simulate(&config(mechanism, Engine::Event), bench.workload(seed), len);
+        prop_assert_eq!(&event, &reference, "event engine diverged");
     }
 }

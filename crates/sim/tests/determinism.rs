@@ -5,10 +5,26 @@
 
 use burst_core::{FaultConfig, Mechanism};
 use burst_sim::experiments::Sweep;
-use burst_sim::{export, map_parallel, simulate, RunLength, SystemConfig};
+use burst_sim::{export, map_parallel, simulate, RunLength, SupervisorConfig, SystemConfig};
 use burst_workloads::SpecBenchmark;
 
 const LEN: RunLength = RunLength::Instructions(4_000);
+
+fn sweep(benchmarks: &[SpecBenchmark], mechanisms: &[Mechanism], seed: u64, jobs: usize) -> Sweep {
+    Sweep::run_supervised(
+        "sweep",
+        &SystemConfig::baseline(),
+        benchmarks,
+        mechanisms,
+        LEN,
+        seed,
+        jobs,
+        &SupervisorConfig::default(),
+        None,
+        None,
+    )
+    .value
+}
 
 /// The tentpole guarantee: a parallel sweep is *byte-identical* to a serial
 /// one. `jobs = 4` forces a real thread pool even on single-core CI runners
@@ -21,8 +37,8 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
         Mechanism::BurstTh(52),
         Mechanism::Intel,
     ];
-    let serial = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 42, 1);
-    let parallel = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 42, 4);
+    let serial = sweep(&benchmarks, &mechanisms, 42, 1);
+    let parallel = sweep(&benchmarks, &mechanisms, 42, 4);
     assert_eq!(
         export::sweep_to_csv(&serial),
         export::sweep_to_csv(&parallel),
@@ -42,8 +58,8 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
 fn oversubscribed_sweep_matches_serial() {
     let benchmarks = [SpecBenchmark::Art];
     let mechanisms = [Mechanism::BurstWp, Mechanism::RowHit];
-    let serial = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 7, 1);
-    let wide = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 7, 64);
+    let serial = sweep(&benchmarks, &mechanisms, 7, 1);
+    let wide = sweep(&benchmarks, &mechanisms, 7, 64);
     assert_eq!(export::sweep_to_csv(&serial), export::sweep_to_csv(&wide));
 }
 

@@ -14,11 +14,13 @@
 
 use burst_core::{Access, AccessId, AccessKind, AccessScheduler, CtrlConfig, Mechanism};
 use burst_dram::{AddressMapping, Dram, DramConfig, Loc, PhysAddr};
-use burst_sim::experiments::{fig11_with_config, fig12_with_config, fig8_with_config, Sweep};
+use burst_sim::experiments::{
+    fig12_mechanisms, fig12_supervised, fig8_mechanisms, outstanding_supervised, Sweep,
+};
 use burst_sim::export::{
     fig10_to_csv, fig12_to_csv, fig7_to_csv, fig9_to_csv, outstanding_to_csv, sweep_to_csv,
 };
-use burst_sim::{Engine, RunLength, SystemConfig};
+use burst_sim::{Engine, RunLength, SupervisorConfig, SystemConfig};
 use burst_snap::{SnapReader, SnapWriter};
 use burst_workloads::SpecBenchmark;
 use proptest::prelude::*;
@@ -228,8 +230,6 @@ fn base(engine: Engine) -> SystemConfig {
     SystemConfig::baseline().with_engine(engine)
 }
 
-const ENGINES: [Engine; 2] = [Engine::Event, Engine::CycleNoSkip];
-
 #[test]
 fn sweep_figures_are_engine_invariant() {
     // One grid feeds Figures 7, 9 and 10 (BkInOrder included so the
@@ -242,10 +242,22 @@ fn sweep_figures_are_engine_invariant() {
         Mechanism::BurstTh(52),
     ];
     let len = RunLength::Instructions(1_200);
-    let csvs: Vec<[String; 4]> = ENGINES
+    let csvs: Vec<[String; 4]> = Engine::ALL
         .iter()
         .map(|&engine| {
-            let sweep = Sweep::run_with_config(&base(engine), &benchmarks, &mechanisms, len, 9, 1);
+            let sweep = Sweep::run_supervised(
+                "sweep",
+                &base(engine),
+                &benchmarks,
+                &mechanisms,
+                len,
+                9,
+                1,
+                &SupervisorConfig::default(),
+                None,
+                None,
+            )
+            .value;
             [
                 sweep_to_csv(&sweep),
                 fig7_to_csv(&sweep.fig7_rows()),
@@ -259,24 +271,34 @@ fn sweep_figures_are_engine_invariant() {
 
 #[test]
 fn outstanding_figures_are_engine_invariant() {
-    let len = RunLength::Instructions(1_000);
-    let csvs: Vec<[String; 2]> = ENGINES
+    let outstanding = |engine, benchmark, mechanisms: &[Mechanism]| {
+        outstanding_supervised(
+            "outstanding",
+            &base(engine),
+            benchmark,
+            mechanisms,
+            RunLength::Instructions(1_000),
+            11,
+            1,
+            &SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .value
+    };
+    let csvs: Vec<[String; 2]> = Engine::ALL
         .iter()
         .map(|&engine| {
             [
-                outstanding_to_csv(&fig8_with_config(
-                    &base(engine),
+                outstanding_to_csv(&outstanding(
+                    engine,
                     SpecBenchmark::Swim,
-                    len,
-                    11,
-                    1,
+                    &fig8_mechanisms(),
                 )),
-                outstanding_to_csv(&fig11_with_config(
-                    &base(engine),
+                outstanding_to_csv(&outstanding(
+                    engine,
                     SpecBenchmark::Mcf,
-                    len,
-                    11,
-                    1,
+                    &fig12_mechanisms(),
                 )),
             ]
         })
@@ -287,16 +309,22 @@ fn outstanding_figures_are_engine_invariant() {
 #[test]
 fn threshold_sweep_is_engine_invariant() {
     let len = RunLength::Instructions(600);
-    let csvs: Vec<String> = ENGINES
+    let csvs: Vec<String> = Engine::ALL
         .iter()
         .map(|&engine| {
-            fig12_to_csv(&fig12_with_config(
-                &base(engine),
-                &[SpecBenchmark::Swim],
-                len,
-                3,
-                1,
-            ))
+            fig12_to_csv(
+                &fig12_supervised(
+                    &base(engine),
+                    &[SpecBenchmark::Swim],
+                    len,
+                    3,
+                    1,
+                    &SupervisorConfig::default(),
+                    None,
+                    None,
+                )
+                .value,
+            )
         })
         .collect();
     assert_eq!(csvs[0], csvs[1], "Figure 12 CSV differs between engines");

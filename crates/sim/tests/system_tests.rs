@@ -2,7 +2,7 @@
 
 use burst_core::Mechanism;
 use burst_sim::experiments::{fig12_mechanisms, fig8_mechanisms, Sweep};
-use burst_sim::{simulate, RunLength, SystemConfig};
+use burst_sim::{simulate, RunLength, SupervisorConfig, SystemConfig};
 use burst_workloads::SpecBenchmark;
 
 #[test]
@@ -62,12 +62,19 @@ fn warm_caches_affect_write_traffic() {
 
 #[test]
 fn sweep_cell_lookup() {
-    let sweep = Sweep::run(
+    let sweep = Sweep::run_supervised(
+        "sweep",
+        &SystemConfig::baseline(),
         &[SpecBenchmark::Gzip],
         &[Mechanism::BkInOrder, Mechanism::Burst],
         RunLength::Instructions(2_000),
         1,
-    );
+        0,
+        &SupervisorConfig::default(),
+        None,
+        None,
+    )
+    .value;
     assert!(sweep.cell(SpecBenchmark::Gzip, Mechanism::Burst).is_some());
     assert!(sweep.cell(SpecBenchmark::Swim, Mechanism::Burst).is_none());
     assert_eq!(sweep.mechanisms().len(), 2);
