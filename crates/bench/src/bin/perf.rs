@@ -596,7 +596,7 @@ fn main() -> std::process::ExitCode {
             None,
             None,
         )
-        .value;
+        .complete();
         let secs = start.elapsed().as_secs_f64();
         let csv = burst_sim::export::sweep_to_csv(&sweep);
         // The executor's determinism guarantee, enforced at every level.

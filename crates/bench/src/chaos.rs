@@ -153,8 +153,9 @@ fn reference_csv(cfg: &MatrixConfig) -> String {
         &SupervisorConfig::default(),
         None,
         None,
-    );
-    sweep_to_csv(&sweep.value)
+    )
+    .complete();
+    sweep_to_csv(&sweep)
 }
 
 /// One create-run-resume-run cycle against `io`. Returns the error text

@@ -617,6 +617,20 @@ impl<T> Supervised<T> {
     pub fn ok(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// The value of a run in which every cell completed. Panics, listing
+    /// the failed cells, when any did not, so a caller that needs the full
+    /// grid cannot mistake a partial one for it.
+    #[track_caller]
+    pub fn complete(self) -> T {
+        assert!(
+            self.ok(),
+            "{} cell(s) failed: {:?}",
+            self.failures.len(),
+            self.failures
+        );
+        self.value
+    }
 }
 
 /// One Figure 7 row.
@@ -930,6 +944,26 @@ fn fig1_out_of_order() -> Cycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "1 cell(s) failed")]
+    fn complete_refuses_a_partial_grid() {
+        let failure = CellFailure {
+            scope: "sweep".into(),
+            benchmark: SpecBenchmark::Swim,
+            mechanism: Mechanism::Burst,
+            kind: crate::supervisor::FailureKind::Panic,
+            attempts: 3,
+            payload: "boom".into(),
+            quarantined: false,
+        };
+        Supervised {
+            value: (),
+            failures: vec![failure],
+            resumed: 0,
+        }
+        .complete();
+    }
 
     #[test]
     fn warm_share_releases_after_last_cell_and_survives_retries_and_panics() {

@@ -237,7 +237,7 @@ mod tests {
             None,
             None,
         )
-        .value
+        .complete()
     }
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
             None,
             None,
         )
-        .value;
+        .complete();
         let csv = outstanding_to_csv(&rows);
         assert!(csv.starts_with("mechanism,kind,occupancy,fraction\n"));
         assert!(csv.contains(",read,"));

@@ -23,7 +23,7 @@ fn sweep(benchmarks: &[SpecBenchmark], mechanisms: &[Mechanism], seed: u64, jobs
         None,
         None,
     )
-    .value
+    .complete()
 }
 
 /// The tentpole guarantee: a parallel sweep is *byte-identical* to a serial

@@ -257,7 +257,7 @@ fn sweep_figures_are_engine_invariant() {
                 None,
                 None,
             )
-            .value;
+            .complete();
             [
                 sweep_to_csv(&sweep),
                 fig7_to_csv(&sweep.fig7_rows()),
@@ -284,7 +284,7 @@ fn outstanding_figures_are_engine_invariant() {
             None,
             None,
         )
-        .value
+        .complete()
     };
     let csvs: Vec<[String; 2]> = Engine::ALL
         .iter()
@@ -323,7 +323,7 @@ fn threshold_sweep_is_engine_invariant() {
                     None,
                     None,
                 )
-                .value,
+                .complete(),
             )
         })
         .collect();

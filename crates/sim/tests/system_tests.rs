@@ -74,7 +74,7 @@ fn sweep_cell_lookup() {
         None,
         None,
     )
-    .value;
+    .complete();
     assert!(sweep.cell(SpecBenchmark::Gzip, Mechanism::Burst).is_some());
     assert!(sweep.cell(SpecBenchmark::Swim, Mechanism::Burst).is_none());
     assert_eq!(sweep.mechanisms().len(), 2);
